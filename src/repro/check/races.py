@@ -16,6 +16,14 @@ Races on global arrays across blocks are also checked (no same-block
 restriction there).  Loop intervals are checked for one symbolic iteration.
 Candidates are replayed on the interpreter's dynamic race detector before
 being reported.
+
+Replay runs only the witness threads' blocks: each query keeps the two
+threads' block-id terms, the model names one block (shared arrays, same
+block) or two (global arrays), and the interpreter runs just those, in bid
+order.  CUDA blocks are unordered, so "witness blocks first" is a prefix of
+a legal schedule of the model's launch, and a race the detector sees there
+is a race of the full launch.  When the scoped run shows no race or faults,
+the full launch is replayed as before, so a confirmation is never lost.
 """
 
 from __future__ import annotations
@@ -26,14 +34,14 @@ from dataclasses import dataclass
 from ..encode.templates import (
     VCTemplate, resolve_template_store, template_key,
 )
-from ..errors import EncodingError
+from ..errors import EncodingError, InterpError
 from ..lang.typecheck import KernelInfo
 from ..param.ca import CA, KernelModel, LoopModel, PlainModel, Read, extract_model
 from ..param.geometry import Geometry, ThreadInstance
 from ..param.resolve import instantiate
 from ..smt import (
-    And, ArrayVar, BVVar, CheckResult, Eq, Ne, Not, Or, Query, QueryResult,
-    Term, fresh_scope, solve_all, solve_stream,
+    And, ArrayVar, BVVar, CheckResult, Eq, Model, Ne, Not, Or, Query,
+    QueryResult, Term, fresh_scope, solve_all, solve_stream,
 )
 from ..smt.dispatch import default_stream
 from ..lang.interp import LaunchConfig, run_kernel
@@ -58,6 +66,8 @@ class _RaceQuery:
     line_b: int
     array: str
     terms: list[Term]
+    #: the witness threads' block ids: t1's (x, y) then t2's (x, y)
+    bids: list[Term]
 
 
 def _interval_queries(model: KernelModel, plain: PlainModel,
@@ -81,13 +91,15 @@ def _interval_queries(model: KernelModel, plain: PlainModel,
                                       bid=t1.bid if shared else None)
             i1 = accesses(ca1, t1)
             i2 = accesses(ca2, t2)
+            bids = [t1.bid["x"], t1.bid["y"], t2.bid["x"], t2.bid["y"]]
             # write-write
             queries.append(_RaceQuery(
                 kind="write-write", line_a=ca1.line, line_b=ca2.line,
                 array=ca1.array,
                 terms=[*extra, t1.validity(), t2.validity(),
                        _distinct(t1, t2, shared), i1.guard, i2.guard,
-                       *[Eq(a, b) for a, b in zip(i1.address, i2.address)]]))
+                       *[Eq(a, b) for a, b in zip(i1.address, i2.address)]],
+                bids=bids))
             # read(ca2's reads) vs write(ca1)
             for inst, other in ((i1, i2), (i2, i1)):
                 for read in other.reads:
@@ -100,7 +112,8 @@ def _interval_queries(model: KernelModel, plain: PlainModel,
                                _distinct(t1, t2, shared),
                                inst.guard, other.guard,
                                *[Eq(a, b) for a, b in
-                                 zip(inst.address, read.address)]]))
+                                 zip(inst.address, read.address)]],
+                        bids=bids))
     return queries
 
 
@@ -169,8 +182,9 @@ def _check_races(info: KernelInfo, width: int, *, assumption_builder,
             return outcome
         base = list(template.base)
         queries = [_RaceQuery(kind=k, line_a=la, line_b=lb, array=ar,
-                              terms=list(ts))
-                   for k, la, lb, ar, ts in template.queries]
+                              terms=list(ts), bids=list(bids))
+                   for (k, la, lb, ar, ts), bids in zip(
+                       template.queries, template.witness_bids, strict=True)]
     else:
         enc_start = time.monotonic()
         try:
@@ -210,7 +224,8 @@ def _check_races(info: KernelInfo, width: int, *, assumption_builder,
             store.store(tkey, VCTemplate(
                 check="races", width=width, base=list(base),
                 queries=[(q.kind, q.line_a, q.line_b, q.array,
-                          list(q.terms)) for q in queries]))
+                          list(q.terms)) for q in queries],
+                witness_bids=[list(q.bids) for q in queries]))
     record_encode_stats(outcome, queries_built=len(queries))
 
     assumptions = list(base)
@@ -317,12 +332,13 @@ def _check_races(info: KernelInfo, width: int, *, assumption_builder,
             outcome.reason = "budget exhausted (the paper's T.O)"
             outcome.elapsed = time.monotonic() - start
             return outcome
-        cex = extract_launch(effective.model(), geometry, inputs,
-                             input_arrays)
+        model = effective.model()
+        cex = extract_launch(model, geometry, inputs, input_arrays)
         cex.detail = (f"{q.kind} race on {q.array!r} between lines "
                       f"{q.line_a} and {q.line_b}")
         if validate:
-            confirmed = _replay_race(info, cex, width)
+            confirmed = _replay_race(info, cex, width,
+                                     _witness_blocks(model, q.bids, cex))
             if confirmed:
                 outcome.verdict = Verdict.BUG
                 outcome.counterexample = cex
@@ -342,15 +358,42 @@ def _check_races(info: KernelInfo, width: int, *, assumption_builder,
     return outcome
 
 
-def _replay_race(info: KernelInfo, cex: Counterexample, width: int) -> bool:
+def _witness_blocks(model: Model, bids: list[Term],
+                    cex: Counterexample) -> list[tuple[int, int]] | None:
+    """The model's witness blocks, or ``None`` when a block id falls
+    outside the counterexample's grid (then the full launch replays)."""
+    b1x, b1y, b2x, b2y = (model[b] for b in bids)
+    blocks = [(b1x, b1y), (b2x, b2y)]
+    gx, gy = cex.gdim
+    if any(bx >= gx or by >= gy for bx, by in blocks):
+        return None
+    return blocks
+
+
+def _replay_race(info: KernelInfo, cex: Counterexample, width: int,
+                 blocks: list[tuple[int, int]] | None) -> bool:
+    """Confirm a candidate race on the interpreter's race detector.
+
+    With ``blocks``, the witness blocks run alone first; the full launch
+    replays only when that scoped run shows no race or faults.  Only
+    :class:`InterpError` (the kernel's own fault on this launch) counts as
+    "did not replay"; anything else is a bug of the checker and
+    propagates."""
     bx, by, bz = cex.bdim
     gx, gy = cex.gdim
     if bx * by * bz * gx * gy > MAX_REPLAY_THREADS:
         return False
     config = LaunchConfig(bdim=cex.bdim, gdim=cex.gdim, width=width)
     inputs = {**cex.scalars, **cex.arrays}
+    if blocks is not None:
+        try:
+            if run_kernel(info, config, inputs, check_races=True,
+                          blocks=blocks).races:
+                return True
+        except InterpError:
+            pass
     try:
         result = run_kernel(info, config, inputs, check_races=True)
-    except Exception:
+    except InterpError:
         return False
     return bool(result.races)

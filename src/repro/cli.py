@@ -6,7 +6,9 @@ Commands mirror the library's checkers:
 * ``pugpara func KERNEL.cu --method nonparam --bdim 4,1,1``
 * ``pugpara races KERNEL.cu --width 8``
 * ``pugpara run KERNEL.cu --bdim 4,1,1 --set n=3 --array data=1,2,3,4``
-* ``pugpara suite`` — list the bundled kernel suite.
+* ``pugpara suite`` — list the bundled kernel suite.  Wherever a command
+  takes a kernel file, the name of a suite kernel works too
+  (``pugpara races optimizedReduce``).
 * ``pugpara serve --port 0 --workers 2`` — the long-lived verification
   server (forwards to ``python -m repro.serve``).
 * ``pugpara client URL [REQUEST.json]`` — send one JSON check request to
@@ -16,7 +18,8 @@ Exit codes (the contract CI and scripts key off):
 
 * ``0`` — property verified (or a concrete run finished clean);
 * ``1`` — property refuted: a replay-confirmed counterexample was found;
-* ``2`` — usage error (argparse);
+* ``2`` — usage error: a bad flag, or a kernel that is neither a readable
+  file nor a suite name, or does not parse and type-check;
 * ``3`` — inconclusive: budget exhausted (the paper's T.O), an unconfirmed
   candidate counterexample, or an unsupported kernel — degradation, not
   failure;
@@ -27,12 +30,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .check import (
     check_equivalence, check_functional, check_races, suite_assumptions,
 )
 from .check.result import Verdict, format_solver_stats, outcome_to_json
+from .errors import ParseError, TypeCheckError
 from .lang import LaunchConfig, check_kernel, parse_kernel, run_kernel
 from .param.equivalence import ParamOptions
 from .smt import (
@@ -46,7 +51,7 @@ __all__ = ["main", "EXIT_VERIFIED", "EXIT_REFUTED", "EXIT_USAGE",
 #: The exit-code contract (also documented in ``--help`` and README).
 EXIT_VERIFIED = 0   # property holds / clean concrete run
 EXIT_REFUTED = 1    # replay-confirmed counterexample
-EXIT_USAGE = 2      # argparse usage error
+EXIT_USAGE = 2      # bad flag, unreadable or malformed kernel
 EXIT_UNKNOWN = 3    # T.O / unconfirmed candidate / unsupported kernel
 EXIT_INTERNAL = 4   # the checker itself failed
 
@@ -55,7 +60,8 @@ exit codes:
   0  property verified (or concrete run finished without races/assertions)
   1  property refuted: replay-confirmed counterexample (or concrete run hit
      a race/assertion failure)
-  2  usage error
+  2  usage error (bad flag; kernel neither a readable file nor a suite
+     name, or ill-formed)
   3  inconclusive: budget exhausted (T.O), unconfirmed candidate
      counterexample, or unsupported kernel
   4  internal error
@@ -78,10 +84,28 @@ def _triple(text: str) -> tuple[int, ...]:
     return parts
 
 
+class _UsageError(Exception):
+    """Malformed command-line input: exit 2, never an internal error."""
+
+
 def _load(path: str):
-    with open(path, encoding="utf-8") as fh:
-        kernel = parse_kernel(fh.read())
-    return kernel, check_kernel(kernel)
+    """Parse and type-check a kernel file, or the suite kernel of that name
+    when no such file exists."""
+    from .kernels import KERNELS, load
+    if path in KERNELS and not os.path.exists(path):
+        return load(path)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            source = fh.read()
+    except OSError as exc:
+        raise _UsageError(
+            f"cannot read kernel {path!r}: {exc.strerror or exc} (not a "
+            "file, nor a suite kernel name: see `pugpara suite`)") from exc
+    try:
+        kernel = parse_kernel(source)
+        return kernel, check_kernel(kernel)
+    except (ParseError, TypeCheckError) as exc:
+        raise _UsageError(f"{path}: {exc}") from exc
 
 
 def _parse_sets(pairs: list[str]) -> dict[str, int]:
@@ -263,6 +287,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
+    except _UsageError as exc:
+        print(f"pugpara: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except Exception as exc:
         # An internal failure must be distinguishable from a refutation
         # (1) and from honest degradation (3).

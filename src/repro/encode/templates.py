@@ -59,7 +59,7 @@ __all__ = [
 
 #: Bumped whenever the template payload shape or the term codec changes;
 #: entries with another tag are treated as misses and rewritten.
-TEMPLATE_FORMAT_TAG = "pugpara-vctpl-v1"
+TEMPLATE_FORMAT_TAG = "pugpara-vctpl-v2"
 
 
 def templates_enabled() -> bool:
@@ -98,6 +98,10 @@ class VCTemplate:
     of the contract: checkers consume results in generation order, so the
     template must replay the exact sequence a fresh run would generate.
 
+    ``witness_bids`` runs parallel to ``queries``: the race checker's
+    ``[t1.bid.x, t1.bid.y, t2.bid.x, t2.bid.y]`` for each query, read
+    from a model to replay only the witness threads' blocks.
+
     ``unsupported`` caches a front-end rejection (:class:`EncodingError`
     text): re-checking an unsupported kernel then skips symexec too and
     reproduces the same UNSUPPORTED reason verbatim.
@@ -107,6 +111,7 @@ class VCTemplate:
     base: list[Term] = field(default_factory=list)
     queries: list[tuple[str, int, int, str, list[Term]]] = \
         field(default_factory=list)
+    witness_bids: list[list[Term]] = field(default_factory=list)
     unsupported: str | None = None
 
     def to_blob(self) -> dict:
@@ -117,12 +122,15 @@ class VCTemplate:
         for kind, la, lb, array, terms in self.queries:
             qmeta.append([kind, la, lb, array, len(terms)])
             roots.extend(terms)
+        for bids in self.witness_bids:
+            roots.extend(bids)
         return {
             "format": TEMPLATE_FORMAT_TAG,
             "check": self.check,
             "width": self.width,
             "n_base": len(self.base),
             "queries": qmeta,
+            "witness": [len(bids) for bids in self.witness_bids],
             "terms": encode_terms(roots),
             "unsupported": self.unsupported,
         }
@@ -137,8 +145,13 @@ class VCTemplate:
         for kind, la, lb, array, n in blob["queries"]:
             queries.append((kind, la, lb, array, rest[pos:pos + n]))
             pos += n
+        witness_bids: list[list[Term]] = []
+        for n in blob["witness"]:
+            witness_bids.append(rest[pos:pos + n])
+            pos += n
         return cls(check=blob["check"], width=blob["width"], base=base,
-                   queries=queries, unsupported=blob.get("unsupported"))
+                   queries=queries, witness_bids=witness_bids,
+                   unsupported=blob.get("unsupported"))
 
 
 class TemplateStore:

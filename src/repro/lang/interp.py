@@ -11,6 +11,13 @@ after another in thread-id order ("natural order").  The interpreter is
   inter-thread conflicts on the same cell (the property whose absence the
   serialization argument needs).
 
+A run may be scoped to a subset of the grid's blocks (``blocks=``).  CUDA
+blocks are unordered, so running some blocks first, on the launch's
+initial memory, is a prefix of a legal schedule of the full launch: every
+race the detector reports in such a run is a race of the full launch.  The
+race checker uses this to confirm a two-thread witness by running only the
+witness threads' blocks.
+
 Threads are Python generators that ``yield`` at each ``__syncthreads()``;
 the scheduler advances every thread of a block to the next yield, enforcing
 that all threads reach the *same* barrier (barrier divergence is an error).
@@ -20,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from ..errors import InterpError
 from .ast import (
@@ -350,8 +357,17 @@ class _Interp:
             self._dims_cache[name] = dims
         return dims
 
-    def run(self, check_races: bool) -> ExecResult:
+    def run(self, check_races: bool,
+            blocks: Iterable[tuple[int, int]] | None = None) -> ExecResult:
         cfg = self.config
+        order = list(cfg.block_ids())
+        if blocks is not None:
+            wanted = set(blocks)
+            outside = wanted.difference(order)
+            if outside:
+                raise ValueError(f"blocks {sorted(outside)} lie outside the "
+                                 f"{cfg.gdim} grid")
+            order = [bid for bid in order if bid in wanted]
         # Grid-level tracking: CUDA blocks are unordered, so any write-write
         # or read-write overlap on a *global* cell between different blocks
         # is a race regardless of barrier intervals.
@@ -359,7 +375,7 @@ class _Interp:
                                                   tuple[int, ...]]] = {}
         grid_readers: dict[tuple[str, int], tuple[tuple[int, int],
                                                   tuple[int, ...]]] = {}
-        for bid in cfg.block_ids():
+        for bid in order:
             self.shared[bid] = {name: {} for name in self.info.shared_arrays}
             threads = []
             for tid in cfg.thread_ids():
@@ -446,7 +462,9 @@ def run_kernel(kernel: Kernel | KernelInfo, config: LaunchConfig,
                inputs: Mapping[str, object] | None = None,
                check_races: bool = True,
                loop_limit: int = 1_000_000,
-               shared_fill=None) -> ExecResult:
+               shared_fill=None,
+               blocks: Iterable[tuple[int, int]] | None = None
+               ) -> ExecResult:
     """Execute ``kernel`` concretely under the canonical schedule.
 
     ``inputs`` supplies scalar parameters (ints) and global array contents
@@ -454,6 +472,8 @@ def run_kernel(kernel: Kernel | KernelInfo, config: LaunchConfig,
     ``shared_fill(name, flat) -> int`` supplies values for *uninitialized*
     shared-memory reads (default: zero), modelling the arbitrary contents of
     real shared memory.
+    ``blocks`` restricts the run to those ``(bid.x, bid.y)`` blocks of the
+    grid, run in launch (bid) order; the default runs every block.
     Returns the final state; races and assert failures are *recorded*, not
     raised (callers decide severity), while structural faults — barrier
     divergence, out-of-bounds shared accesses, violated ``assume`` —
@@ -461,7 +481,7 @@ def run_kernel(kernel: Kernel | KernelInfo, config: LaunchConfig,
     """
     info = kernel if isinstance(kernel, KernelInfo) else check_kernel(kernel)
     interp = _Interp(info, config, inputs or {}, loop_limit, shared_fill)
-    return interp.run(check_races)
+    return interp.run(check_races, blocks)
 
 
 def _free_postcond_vars(info: KernelInfo, ghost: _Thread, cond: Expr) -> list[str]:

@@ -24,6 +24,17 @@ Recording protocol (driven by :class:`~repro.smt.bitblast.BitBlaster`):
   other literal aborts the recording — construction still succeeds, there
   is just no template.
 
+Encoding is **deferred to the first reuse**.  A capture is stored as a
+pending entry: the raw clause log, the fresh variables, the input and
+output literals, and the builder's two constant literals — never the
+builder or its solver, so a pending entry keeps no solver alive.  The
+first :meth:`BlastCache.replay` lookup of the key encodes the entry into a
+template and replays it.  Most captured circuits are never looked up
+again (a one-query check blasts each node once), so they never pay for
+encoding; a circuit that is reused pays once, exactly as before.  The
+template is computed from the same log, so the emitted clause stream is
+the one eager encoding would produce.
+
 Replay validity hinges on the **input signature**: gate constructors fold
 on input constness, equality and complement (``AND([x, x ^ 1])`` is
 false), so a template is only valid for input vectors with the same
@@ -135,11 +146,42 @@ class _Template:
 #   a precomputed map of the caller's input literals and their negations.
 
 
+class _Pending:
+    """A captured circuit not yet encoded: the raw clause log and fresh
+    variables of its first construction, its input and output literals,
+    and the capturing builder's constant literals (a snapshot of
+    ``gb.is_const``, which would pin the builder and its solver)."""
+
+    __slots__ = ("log", "new_vars", "inputs", "outputs", "true_lit",
+                 "false_lit")
+
+    def __init__(self, log: list[list[int]], new_vars: list[int],
+                 inputs: Sequence[int], outputs: Sequence[int],
+                 true_lit: int, false_lit: int) -> None:
+        self.log = log
+        self.new_vars = new_vars
+        self.inputs = tuple(inputs)
+        self.outputs = tuple(outputs)
+        self.true_lit = true_lit
+        self.false_lit = false_lit
+
+    def is_const(self, lit: int) -> bool | None:
+        if lit == self.true_lit:
+            return True
+        if lit == self.false_lit:
+            return False
+        return None
+
+
 class BlastCache:
-    """Template store shared across :class:`BitBlaster` instances."""
+    """Template store shared across :class:`BitBlaster` instances.
+
+    Entries are :class:`_Pending` captures until their first reuse, then
+    :class:`_Template` encodings; one map holds both, capped together at
+    :data:`MAX_TEMPLATES`."""
 
     def __init__(self) -> None:
-        self._templates: dict[tuple, _Template] = {}
+        self._templates: dict[tuple, _Template | _Pending] = {}
         self.hits = 0
         self.misses = 0
         self.replayed_clauses = 0
@@ -150,6 +192,12 @@ class BlastCache:
         """Emit a cached circuit into ``gb``; returns the output literals,
         or ``None`` on a cache miss."""
         tpl = self._templates.get(key)
+        if type(tpl) is _Pending:
+            tpl = self._encode(tpl)
+            if tpl is None:
+                del self._templates[key]
+            else:
+                self._templates[key] = tpl
         if tpl is None:
             self.misses += 1
             return None
@@ -179,7 +227,8 @@ class BlastCache:
 
     def record(self, key: tuple, inputs: Sequence[int], gb, build) -> list[int]:
         """Run ``build(inputs)`` against ``gb`` with capture + an isolated
-        gate cache, store the template, and return the built outputs."""
+        gate cache, store the capture as a pending entry, and return the
+        built outputs."""
         real = gb.sat
         sink = _CaptureSink(real)
         saved_cache = gb._cache
@@ -192,17 +241,17 @@ class BlastCache:
             gb._cache = saved_cache
         if len(sink.log) < MIN_CLAUSES:
             return outputs
-        encoded = self._encode(sink, inputs, outputs, gb.is_const)
-        if encoded is not None:
-            if len(self._templates) >= MAX_TEMPLATES:
-                self._templates.clear()
-            self._templates[key] = encoded
+        if len(self._templates) >= MAX_TEMPLATES:
+            self._templates.clear()
+        self._templates[key] = _Pending(sink.log, sink.new_vars, inputs,
+                                        outputs, gb.true_lit, gb.false_lit)
         return outputs
 
     @staticmethod
-    def _encode(sink: "_CaptureSink", inputs: Sequence[int],
-                outputs: Sequence[int], is_const) -> _Template | None:
-        nv = sink.new_vars
+    def _encode(pending: _Pending) -> _Template | None:
+        nv = pending.new_vars
+        inputs = pending.inputs
+        is_const = pending.is_const
         if nv and nv != list(range(nv[0], nv[0] + len(nv))):
             return None  # replay assumes a contiguous fresh-variable block
         aux_index = {v: i for i, v in enumerate(nv)}
@@ -235,7 +284,7 @@ class BlastCache:
 
         clauses: list[list[int]] = []
         clean = True
-        for clause in sink.log:
+        for clause in pending.log:
             refs: list[int] | None = []
             seen: set[int] = set()
             for lit in clause:
@@ -264,7 +313,7 @@ class BlastCache:
                           or any(_comp(r) in seen for r in refs)):
                 clean = False
         out_refs: list[int] = []
-        for lit in outputs:
+        for lit in pending.outputs:
             r = encode_lit(lit)
             if r is None:
                 return None

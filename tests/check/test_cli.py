@@ -124,12 +124,50 @@ class TestExitCodeContract:
         assert rc == EXIT_UNKNOWN
         assert "timeout" in out
 
-    def test_internal_error_exit_code(self, capsys):
-        from repro.cli import EXIT_INTERNAL
+    def test_internal_error_exit_code(self, kernel_files, monkeypatch,
+                                      capsys):
+        import repro.cli as cli
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("checker bug")
+
+        monkeypatch.setattr(cli, "check_races", broken)
+        rc = main(["races", kernel_files["scanRacy"]])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_INTERNAL
+        assert "internal error" in err
+
+    def test_missing_kernel_file_is_usage_error(self, capsys):
+        from repro.cli import EXIT_USAGE
         rc = main(["races", "/nonexistent/kernel.cu"])
         err = capsys.readouterr().err
-        assert rc == EXIT_INTERNAL
-        assert "internal error" in err
+        assert rc == EXIT_USAGE
+        assert "cannot read kernel" in err
+        assert "internal error" not in err
+
+    def test_malformed_kernel_is_usage_error(self, tmp_path, capsys):
+        from repro.cli import EXIT_USAGE
+        bad = tmp_path / "bad.cu"
+        bad.write_text("void f(int *o) { o[0] = ; }")
+        assert main(["races", str(bad)]) == EXIT_USAGE
+        assert "internal error" not in capsys.readouterr().err
+
+    def test_suite_kernel_name_resolves(self, capsys):
+        from repro.cli import EXIT_REFUTED
+        # without the pow2 assumption the reduction races (Table I)
+        rc = main(["races", "optimizedReduce", "--width", "8"])
+        assert rc == EXIT_REFUTED
+        assert "race" in capsys.readouterr().out
+
+    def test_existing_file_shadows_suite_name(self, tmp_path, monkeypatch,
+                                              capsys):
+        from repro.cli import EXIT_VERIFIED
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "optimizedReduce").write_text(
+            "void f(int *o) { o[tid.x] = 1; }")
+        rc = main(["races", "optimizedReduce", "--width", "8",
+                   "--pair", "Reduction"])
+        assert rc == EXIT_VERIFIED
 
     def test_usage_error_is_exit_2(self):
         import pytest

@@ -159,6 +159,32 @@ class TestRaceDetection:
         assert r.races == []
 
 
+class TestScopedBlocks:
+    GRID = LaunchConfig(bdim=(2, 1, 1), gdim=(3, 2))
+
+    def test_runs_only_the_named_blocks_in_bid_order(self):
+        src = "void f(int *o) { o[bid.y * gdim.x + bid.x] = tid.x + 1; }"
+        _, r = run(src, self.GRID, blocks=[(2, 1), (0, 1), (2, 1)])
+        assert r.globals["o"] == {3: 2, 5: 2}
+        assert list(r.shared) == [(0, 1), (2, 1)]
+
+    def test_cross_block_race_between_named_blocks(self):
+        _, r = run("void f(int *o) { o[tid.x] = bid.x; }", self.GRID,
+                   blocks=[(1, 0), (2, 1)])
+        assert {x.block for x in r.races} == {(2, 1)}
+
+    def test_unnamed_blocks_do_not_run(self):
+        src = "void f(int *o) { if (bid.x == 1) { o[0] = tid.x; } }"
+        _, scoped = run(src, self.GRID, blocks=[(0, 0)])
+        _, full = run(src, self.GRID)
+        assert scoped.races == [] and full.races
+        assert scoped.rounds < full.rounds
+
+    def test_block_outside_the_grid_is_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            run("void f(int *o) { o[0] = 1; }", self.GRID, blocks=[(3, 0)])
+
+
 class TestAssertionsAndSpecs:
     def test_assert_failure_recorded(self):
         _, r = run("void f(int *o) { assert(tid.x < 2); }")
