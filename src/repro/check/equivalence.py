@@ -38,9 +38,6 @@ def check_equivalence_nonparam(src_info: KernelInfo, tgt_info: KernelInfo,
                                jobs: int | None = None,
                                cache=None,
                                policy=None,
-                               incremental: bool | None = None,
-                               preprocess: bool | None = None,
-                               portfolio: int | None = None,
                                certify: bool | None = None
                                ) -> CheckOutcome:
     """Section III baseline: serialize all threads of ``config`` and ask the
@@ -55,17 +52,14 @@ def check_equivalence_nonparam(src_info: KernelInfo, tgt_info: KernelInfo,
             src_info, tgt_info, config, scalar_values=scalar_values,
             concretize_extent=concretize_extent, timeout=timeout,
             do_simplify=do_simplify, validate=validate, jobs=jobs,
-            cache=cache, policy=policy, incremental=incremental,
-            preprocess=preprocess, portfolio=portfolio, certify=certify)
+            cache=cache, policy=policy, certify=certify)
 
 
 def _check_equivalence_nonparam(src_info: KernelInfo, tgt_info: KernelInfo,
                                 config: LaunchConfig, *, scalar_values,
                                 concretize_extent, timeout, do_simplify,
                                 validate, jobs, cache,
-                                policy=None, incremental=None,
-                                preprocess=None, portfolio=None,
-                                certify=None) -> CheckOutcome:
+                                policy=None, certify=None) -> CheckOutcome:
     start = time.monotonic()
     outcome = CheckOutcome(verdict=Verdict.UNKNOWN)
     width = config.width
@@ -113,8 +107,7 @@ def _check_equivalence_nonparam(src_info: KernelInfo, tgt_info: KernelInfo,
     response = solve_query(
         Query([*constraints, Or(*differs)], timeout=timeout,
               do_simplify=do_simplify),
-        cache=cache, policy=policy, incremental=incremental,
-        preprocess=preprocess, portfolio=portfolio, certify=certify)
+        cache=cache, policy=policy, certify=certify)
     result = response.verdict
     outcome.vcs_checked = 1
     outcome.solver_time = response.solver_time
@@ -168,9 +161,6 @@ def check_equivalence(src_info: KernelInfo, tgt_info: KernelInfo, *,
                       jobs: int | None = None,
                       cache=None,
                       policy=None,
-                      incremental: bool | None = None,
-                      preprocess: bool | None = None,
-                      portfolio: int | None = None,
                       certify: bool | None = None) -> CheckOutcome:
     """Unified entry point.
 
@@ -190,12 +180,6 @@ def check_equivalence(src_info: KernelInfo, tgt_info: KernelInfo, *,
             opts.cache = cache
         if policy is not None:
             opts.policy = policy
-        if incremental is not None:
-            opts.incremental = incremental
-        if preprocess is not None:
-            opts.preprocess = preprocess
-        if portfolio is not None:
-            opts.portfolio = portfolio
         if certify is not None:
             opts.certify = certify
         if not validate:
@@ -212,6 +196,5 @@ def check_equivalence(src_info: KernelInfo, tgt_info: KernelInfo, *,
             scalar_values=scalar_values,
             concretize_extent=concretize_extent,
             timeout=timeout, validate=validate, jobs=jobs, cache=cache,
-            policy=policy, incremental=incremental, preprocess=preprocess,
-            portfolio=portfolio, certify=certify)
+            policy=policy, certify=certify)
     raise ValueError(f"unknown method {method!r}")

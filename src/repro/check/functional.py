@@ -160,9 +160,6 @@ def check_functional_nonparam(info: KernelInfo, config: LaunchConfig, *,
                               jobs: int | None = None,
                               cache=None,
                               policy=None,
-                              incremental: bool | None = None,
-                              preprocess: bool | None = None,
-                              portfolio: int | None = None,
                               certify: bool | None = None
                               ) -> CheckOutcome:
     """Refute the kernel's post-conditions at a concrete geometry."""
@@ -170,14 +167,12 @@ def check_functional_nonparam(info: KernelInfo, config: LaunchConfig, *,
         return _check_functional_nonparam(
             info, config, scalar_values=scalar_values, timeout=timeout,
             validate=validate, jobs=jobs, cache=cache, policy=policy,
-            incremental=incremental, preprocess=preprocess,
-            portfolio=portfolio, certify=certify)
+            certify=certify)
 
 
 def _check_functional_nonparam(info: KernelInfo, config: LaunchConfig, *,
                                scalar_values, timeout, validate, jobs,
-                               cache, policy=None, incremental=None,
-                               preprocess=None, portfolio=None,
+                               cache, policy=None,
                                certify=None) -> CheckOutcome:
     start = time.monotonic()
     outcome = CheckOutcome(verdict=Verdict.UNKNOWN)
@@ -215,8 +210,7 @@ def _check_functional_nonparam(info: KernelInfo, config: LaunchConfig, *,
     # first verdict lands before the last obligation is encoded, and an
     # early return below abandons (never solves) the tail.
     dispatch = dict(jobs=jobs, cache=cache, policy=policy,
-                    incremental=incremental, preprocess=preprocess,
-                    portfolio=portfolio, certify=certify)
+                    certify=certify)
     lat: dict = {}
     if default_stream():
         record_encode_stats(outcome, mode="stream")
@@ -294,9 +288,6 @@ def check_functional_param(info: KernelInfo, width: int, *,
                            jobs: int | None = None,
                            cache=None,
                            policy=None,
-                           incremental: bool | None = None,
-                           preprocess: bool | None = None,
-                           portfolio: int | None = None,
                            certify: bool | None = None) -> CheckOutcome:
     """Parameterized post-condition checking (loop-free kernels).
 
@@ -309,16 +300,13 @@ def check_functional_param(info: KernelInfo, width: int, *,
             info, width, assumption_builder=assumption_builder,
             concretize=concretize, timeout=timeout, bughunt=bughunt,
             validate=validate, jobs=jobs, cache=cache, policy=policy,
-            incremental=incremental, preprocess=preprocess,
-            portfolio=portfolio, certify=certify)
+            certify=certify)
 
 
 def _check_functional_param(info: KernelInfo, width: int, *,
                             assumption_builder, concretize, timeout,
                             bughunt, validate, jobs, cache,
-                            policy=None, incremental=None,
-                            preprocess=None, portfolio=None,
-                            certify=None) -> CheckOutcome:
+                            policy=None, certify=None) -> CheckOutcome:
     start = time.monotonic()
     outcome = CheckOutcome(verdict=Verdict.UNKNOWN)
     geometry = Geometry.create(width)
@@ -369,8 +357,7 @@ def _check_functional_param(info: KernelInfo, width: int, *,
         response = solve_query(
             Query([*assumptions, *premises, Not(And(*obligations))],
                   timeout=budget()),
-            cache=cache, policy=policy, portfolio=portfolio,
-            certify=certify)
+            cache=cache, policy=policy, certify=certify)
         outcome.vcs_checked += 1
         outcome.solver_time += response.solver_time
         outcome.merge_solver_stats(response.stats)
@@ -442,8 +429,7 @@ def _check_functional_param(info: KernelInfo, width: int, *,
                 [Query([*assumptions, *case.constraints, Not(case.value)],
                        timeout=budget()) for case in cases],
                 jobs=jobs, cache=cache, policy=policy,
-                incremental=incremental, preprocess=preprocess,
-                portfolio=portfolio, certify=certify)
+                certify=certify)
             for response in responses:
                 outcome.vcs_checked += 1
                 outcome.solver_time += response.solver_time

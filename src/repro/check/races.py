@@ -125,9 +125,6 @@ def check_races(info: KernelInfo, width: int = 16, *,
                 jobs: int | None = None,
                 cache=None,
                 policy=None,
-                incremental: bool | None = None,
-                preprocess: bool | None = None,
-                portfolio: int | None = None,
                 certify: bool | None = None) -> CheckOutcome:
     """Check the kernel race-free for any thread count.
 
@@ -145,16 +142,12 @@ def check_races(info: KernelInfo, width: int = 16, *,
                             assumption_builder=assumption_builder,
                             concretize=concretize, timeout=timeout,
                             validate=validate, jobs=jobs, cache=cache,
-                            policy=policy, incremental=incremental,
-                            preprocess=preprocess, portfolio=portfolio,
-                            certify=certify)
+                            policy=policy, certify=certify)
 
 
 def _check_races(info: KernelInfo, width: int, *, assumption_builder,
                  concretize, timeout, validate, jobs, cache,
-                 policy=None, incremental=None,
-                 preprocess=None, portfolio=None,
-                 certify=None) -> CheckOutcome:
+                 policy=None, certify=None) -> CheckOutcome:
     start = time.monotonic()
     outcome = CheckOutcome(verdict=Verdict.UNKNOWN)
     geometry = Geometry.create(width)
@@ -268,8 +261,7 @@ def _check_races(info: KernelInfo, width: int, *, assumption_builder,
     # verdicts are identical either way — consumption below walks
     # generation order in both modes.
     dispatch = dict(jobs=jobs, cache=cache, policy=policy,
-                    incremental=incremental, preprocess=preprocess,
-                    portfolio=portfolio, certify=certify)
+                    certify=certify)
     if default_stream():
         lat: dict = {}
         bounded = []

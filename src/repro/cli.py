@@ -193,25 +193,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--cache-dir", metavar="DIR",
                        help="persist the query cache on disk under DIR "
                             "(e.g. .pugpara_cache)")
-        p.add_argument("--incremental",
-                       action=argparse.BooleanOptionalAction, default=None,
-                       help="group batched VCs by shared antecedent prefix "
-                            "and solve each group incrementally under "
-                            "assumption literals (default: "
-                            "PUGPARA_INCREMENTAL, off)")
-        p.add_argument("--preprocess",
-                       action=argparse.BooleanOptionalAction, default=None,
-                       help="run the SatELite-style CNF preprocessor on "
-                            "incremental groups (default: "
-                            "PUGPARA_PREPROCESS, on); --no-preprocess "
-                            "disables it")
-        p.add_argument("--portfolio", type=int, nargs="?", const=3,
-                       default=None, metavar="N",
-                       help="race each VC across N diversified "
-                            "strategy/heuristic arms, first conclusive "
-                            "verdict wins (N defaults to 3; default: "
-                            "PUGPARA_PORTFOLIO, off; at --jobs 1 the arms "
-                            "run sequentially with early exit)")
         p.add_argument("--certify",
                        action=argparse.BooleanOptionalAction, default=None,
                        help="require a checked DRAT proof for every UNSAT "
@@ -383,9 +364,6 @@ def _dispatch(args) -> int:
         cache = None  # the shared in-memory default
     policy = _policy(args) if hasattr(args, "retries") else None
     validate = getattr(args, "validate_cex", True)
-    incremental = getattr(args, "incremental", None)
-    preprocess = getattr(args, "preprocess", None)
-    portfolio = getattr(args, "portfolio", None)
     certify = getattr(args, "certify", None)
 
     def report(outcome) -> int:
@@ -422,18 +400,13 @@ def _dispatch(args) -> int:
                                      validate=validate,
                                      jobs=jobs, cache=cache,
                                      policy=policy,
-                                     incremental=incremental,
-                                     preprocess=preprocess,
-                                     portfolio=portfolio,
                                      certify=certify))
         else:
             outcome = check_equivalence(
                 src, tgt, method="nonparam", config=_config(args),
                 scalar_values=_parse_sets(args.set) or None,
                 timeout=args.timeout, validate=validate, jobs=jobs,
-                cache=cache, policy=policy, incremental=incremental,
-                preprocess=preprocess, portfolio=portfolio,
-                certify=certify)
+                cache=cache, policy=policy, certify=certify)
         return report(outcome)
 
     if args.command == "func":
@@ -443,17 +416,13 @@ def _dispatch(args) -> int:
                 info, method="param", width=args.width,
                 assumption_builder=builder, concretize=_concretize(args),
                 timeout=args.timeout, validate=validate, jobs=jobs,
-                cache=cache, policy=policy, incremental=incremental,
-                preprocess=preprocess, portfolio=portfolio,
-                certify=certify)
+                cache=cache, policy=policy, certify=certify)
         else:
             outcome = check_functional(
                 info, method="nonparam", config=_config(args),
                 scalar_values=_parse_sets(args.set) or None,
                 timeout=args.timeout, validate=validate, jobs=jobs,
-                cache=cache, policy=policy, incremental=incremental,
-                preprocess=preprocess, portfolio=portfolio,
-                certify=certify)
+                cache=cache, policy=policy, certify=certify)
         return report(outcome)
 
     if args.command == "races":
@@ -463,8 +432,6 @@ def _dispatch(args) -> int:
                               concretize=_concretize(args),
                               timeout=args.timeout, validate=validate,
                               jobs=jobs, cache=cache, policy=policy,
-                              incremental=incremental,
-                              preprocess=preprocess, portfolio=portfolio,
                               certify=certify)
         return report(outcome)
 

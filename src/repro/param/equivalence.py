@@ -70,9 +70,6 @@ class ParamOptions:
     jobs: int | None = None             # VC dispatch worker processes
     cache: object = None                # canonical query cache (False = off)
     policy: object = None               # UNKNOWN retry policy (None = env)
-    incremental: bool | None = None     # shared-prefix batch solving
-    preprocess: bool | None = None      # CNF preprocessing in groups
-    portfolio: int | None = None        # first-wins strategy racing width
     certify: bool | None = None         # DRAT-check every UNSAT verdict
 
 
@@ -111,7 +108,6 @@ class _Run:
             Query(terms, timeout=self.budget(),
                   do_simplify=self.options.simplify),
             cache=self.options.cache, policy=self.options.policy,
-            portfolio=self.options.portfolio,
             certify=self.options.certify)
         self.account(response)
         return response.verdict, response
@@ -359,9 +355,6 @@ class _GroupChecker:
                  for terms in term_lists],
                 jobs=run.options.jobs, cache=run.options.cache,
                 policy=run.options.policy,
-                incremental=run.options.incremental,
-                preprocess=run.options.preprocess,
-                portfolio=run.options.portfolio,
                 certify=run.options.certify)
             for response in responses:
                 run.account(response)

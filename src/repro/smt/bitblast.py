@@ -92,20 +92,14 @@ class BitBlaster:
 
     # ------------------------------------------------------------- interface
 
-    def assert_term(self, term: Term, guard: int | None = None) -> None:
+    def assert_term(self, term: Term) -> None:
         """Assert a Bool term, splitting top-level conjunctions into separate
-        unit assertions (better propagation than one big AND gate).
-
-        With a ``guard`` literal, each resulting top-level assertion is
-        emitted as ``guard -> lit`` so it only takes effect when ``guard``
-        is assumed; the gate definitions underneath stay unguarded and can
-        be shared between queries (see :mod:`repro.smt.incremental`).
-        """
+        unit assertions (better propagation than one big AND gate)."""
         if term.kind == Kind.AND:
             for arg in term.args:
-                self.assert_term(arg, guard)
+                self.assert_term(arg)
             return
-        self.gb.assert_lit(self.lit_of(term), guard)
+        self.gb.assert_lit(self.lit_of(term))
 
     def lit_of(self, term: Term) -> int:
         """The literal representing a Bool-sorted term."""

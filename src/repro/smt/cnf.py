@@ -11,9 +11,7 @@ reserved variable forced at level 0, which lets the bit-blaster treat
 constant bits uniformly as literals.
 
 The backend only needs ``new_var``/``add_clause``: a :class:`SATSolver` for
-direct solving, or a :class:`ClauseDB` when the clauses are destined for the
-preprocessor (:mod:`repro.smt.preprocess`) or an incremental group instance
-(:mod:`repro.smt.incremental`).
+direct solving, or a :class:`ClauseDB` when the clauses are only recorded.
 """
 
 from __future__ import annotations
@@ -31,9 +29,8 @@ class ClauseDB:
     protocol (``new_var``/``add_clause``).
 
     Unlike :class:`SATSolver.add_clause` it performs no level-0
-    simplification — tautology removal and unit propagation are the
-    preprocessor's job — so the recorded CNF is exactly what the gates
-    emitted and can be replayed into any number of solver instances.
+    simplification, so the recorded CNF is exactly what the gates emitted
+    and can be replayed into any number of solver instances.
     """
 
     def __init__(self) -> None:
@@ -235,16 +232,6 @@ class GateBuilder:
         carry = self.OR([self.AND([a, b]), self.AND([cin, axb])])
         return s, carry
 
-    def assert_lit(self, lit: int, guard: int | None = None) -> None:
-        """Assert ``lit``, optionally only under an assumption ``guard``.
-
-        Guarding emits ``guard -> lit`` instead of the unit clause, so the
-        assertion is inert until the guard literal is assumed.  Only these
-        top-level assertions need guarding: Tseitin gate definitions are
-        satisfiable under any input assignment, so sharing them between
-        differently-guarded queries is sound.
-        """
-        if guard is None:
-            self.add_clause([lit])
-        else:
-            self.add_clause([guard ^ 1, lit])
+    def assert_lit(self, lit: int) -> None:
+        """Assert ``lit`` as a unit clause."""
+        self.add_clause([lit])

@@ -38,8 +38,7 @@ clauses.  This module holds the *contextual* rewrite layer that
 
 Every rule is model-preserving on the query it was harvested from; a
 :class:`Facts` base must therefore only be applied to terms asserted in
-the *same* conjunction (the incremental group solver harvests from the
-shared prefix only, which is part of every member query).
+the *same* conjunction.
 
 Structural hashing of repeated subterms is inherited from the interned
 term DAG (:mod:`repro.smt.terms`): identical subterms are identical Python

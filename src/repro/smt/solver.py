@@ -9,29 +9,22 @@ Pipeline per ``check()``:
 5. on SAT, model reconstruction back up through the pipeline (bit values →
    scalar values → array contents via the recorded read indices).
 
-The facade itself is one-shot: each ``check()`` rebuilds the CNF, which
-keeps every layer stateless and testable.  Batches of related queries go
-faster through :mod:`repro.smt.incremental` (shared-prefix grouping under
-assumption literals) — the dispatcher routes them there when incremental
-mode is on; this facade stays the semantic reference those paths are
-differentially tested against.  ``preprocess=True`` inserts the SatELite
-CNF preprocessing pass between steps 3 and 4, with model reconstruction
-undoing its eliminations.
+The facade is one-shot: each ``check()`` rebuilds the CNF, which keeps
+every layer stateless and testable — the paper's one independent query per
+verification condition.
 """
 
 from __future__ import annotations
 
 import time
 from enum import Enum
-from typing import Callable
 
 from . import faults
 from .arrays import eliminate_arrays
 from .bitblast import BitBlaster
-from .cnf import ClauseDB, GateBuilder
+from .cnf import GateBuilder
 from .model import Model
-from .preprocess import Preprocessor
-from .sat import SATConfig, SATSolver, STAT_COUNTER_KEYS
+from .sat import SATSolver, STAT_COUNTER_KEYS
 from .sat.proof import ProofLog, check_proof
 from .simplify import simplify_all
 from .sorts import ArraySort
@@ -64,19 +57,6 @@ class Solver:
     validate_models:
         Re-evaluate every original assertion under each model before
         returning it (a soundness net used throughout the test suite).
-    preprocess:
-        Run the SatELite-style CNF preprocessing pass
-        (:mod:`repro.smt.preprocess`) on the blasted clauses before
-        solving; models are reconstructed through the eliminations.
-    sat_config:
-        CDCL heuristic configuration (:class:`~repro.smt.sat.SATConfig`)
-        for the underlying SAT core — the portfolio's diversification
-        handle.  ``None`` keeps the historical defaults bit for bit.
-    cancel:
-        Zero-argument callable polled between pipeline phases and inside
-        the CDCL search loop; when it returns True the check abandons
-        work and answers ``UNKNOWN`` with ``stats["cancelled"]`` set
-        (never a budget axis — cancellation is not exhaustion).
     certify:
         Require a checked DRAT proof for every UNSAT answer: the SAT
         layer logs its derivation and the independent checker
@@ -91,17 +71,11 @@ class Solver:
                  conflict_budget: int | None = None,
                  do_simplify: bool = True,
                  validate_models: bool = False,
-                 preprocess: bool = False,
-                 sat_config: SATConfig | None = None,
-                 cancel: Callable[[], bool] | None = None,
                  certify: bool = False) -> None:
         self.timeout = timeout
         self.conflict_budget = conflict_budget
         self.do_simplify = do_simplify
         self.validate_models = validate_models
-        self.preprocess = preprocess
-        self.sat_config = sat_config
-        self.cancel = cancel
         self.certify = certify
         self.assertions: list[Term] = []
         self._model: Model | None = None
@@ -113,14 +87,6 @@ class Solver:
                 self.assertions.append(t)
             else:
                 raise SolverError(f"assertion must be Bool-sorted, got {t.sort!r}")
-
-    def _cancelled(self, start: float) -> bool:
-        """Poll the cancel token between pipeline phases."""
-        if self.cancel is not None and self.cancel():
-            self.stats["cancelled"] = True
-            self._finish(start, conflicts=0)
-            return True
-        return False
 
     def check(self) -> CheckResult:
         """Decide satisfiability of the conjunction of all assertions."""
@@ -142,8 +108,6 @@ class Solver:
             self._model = Model({})
             self._finish(start, conflicts=0)
             return CheckResult.SAT
-        if self._cancelled(start):
-            return CheckResult.UNKNOWN
 
         elim_start = time.monotonic()
         flat, info = eliminate_arrays(work)
@@ -155,45 +119,16 @@ class Solver:
                 self._finish(start, conflicts=0)
                 return CheckResult.UNSAT
         self.stats["array_time"] = time.monotonic() - elim_start
-        if self._cancelled(start):
-            return CheckResult.UNKNOWN
 
         blast_start = time.monotonic()
-        pre = None
         log = ProofLog() if self.certify else None
-        if self.preprocess:
-            bb = BitBlaster(GateBuilder(ClauseDB()))
-        else:
-            core = SATSolver(self.sat_config)
-            if log is not None:
-                core.attach_proof(log)
-            bb = BitBlaster(GateBuilder(core))
+        sat = SATSolver()
+        if log is not None:
+            sat.attach_proof(log)
+        bb = BitBlaster(GateBuilder(sat))
         for t in flat:
             bb.assert_term(t)
         self.stats["blast_time"] = time.monotonic() - blast_start
-        if self._cancelled(start):
-            return CheckResult.UNKNOWN
-        if self.preprocess:
-            db = bb.gb.sat
-            pp_start = time.monotonic()
-            if log is not None:
-                log.extend_axioms(db.clauses)
-                if not db.ok:
-                    log.add_axiom(())  # the DB drops an empty input clause
-            pre = Preprocessor(db.num_vars, db.clauses, [0],
-                               proof=log).run()
-            self.stats["preprocess_time"] = time.monotonic() - pp_start
-            self.stats.update(pre.stats)
-            sat = SATSolver(self.sat_config)
-            if log is not None:
-                sat.attach_proof(log, adopt=True)
-            sat.new_vars(db.num_vars)
-            if db.ok and pre.ok:
-                sat.add_clauses(pre.output_clauses())
-            else:
-                sat.ok = False
-        else:
-            sat = bb.gb.sat
         self.stats["clauses"] = len(sat.clauses)
         self.stats["sat_vars"] = sat.num_vars
         if not sat.ok:
@@ -205,8 +140,7 @@ class Solver:
 
         sat_start = time.monotonic()
         result = sat.solve(deadline=deadline,
-                           conflict_budget=self.conflict_budget,
-                           cancel=self.cancel)
+                           conflict_budget=self.conflict_budget)
         if result.value == "sat" and faults.flips_unsat(
                 faults.active(), str(sat.num_vars)):
             result = type(result).UNSAT  # the lying-solver fault
@@ -221,14 +155,8 @@ class Solver:
             return CheckResult.UNKNOWN
 
         # -- model reconstruction -------------------------------------------
-        if pre is not None:
-            values = pre.reconstruct(sat.model_value)
-
-            def lit_value(lit: int) -> bool:
-                return values[lit >> 1] ^ bool(lit & 1)
-        else:
-            def lit_value(lit: int) -> bool:
-                return sat.model_value(lit >> 1) ^ bool(lit & 1)
+        def lit_value(lit: int) -> bool:
+            return sat.model_value(lit >> 1) ^ bool(lit & 1)
 
         scalars: dict[Term, object] = {}
         for var, lit in bb.bool_vars.items():
@@ -290,8 +218,6 @@ class Solver:
                 self.stats[key] = sat.stats.get(key, 0)
         if sat.stats.get("budget_axis"):
             self.stats["budget_axis"] = sat.stats["budget_axis"]
-        if sat.stats.get("cancelled"):
-            self.stats["cancelled"] = True
 
     def model(self) -> Model:
         if self._model is None:

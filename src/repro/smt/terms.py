@@ -37,8 +37,7 @@ __all__ = [
     "Concat", "Extract", "ZeroExt", "SignExt",
     "Select", "Store",
     "fresh_var", "fresh_name", "fresh_scope", "iter_dag", "term_size",
-    "collect", "fingerprint", "prefix_fingerprint", "common_prefix_length",
-    "intern_stats", "interning_enabled",
+    "collect", "intern_stats", "interning_enabled",
 ]
 
 
@@ -136,15 +135,14 @@ class Term:
         argument ordering of commutative operators.
     """
 
-    # ``_fp`` caches the structural fingerprint (:func:`fingerprint`);
     # ``_vm`` caches the variable-occurrence bloom mask used by
     # :func:`repro.smt.substitute.substitute` to skip key-free subtrees.
-    # Both are derived purely from the node (structure, or the node's own
-    # ``tid``), so sharing them across every context that reaches the
-    # same interned node — including different ``fresh_scope``s — is
-    # sound; keeping them on the node (not in module-global dicts) means
-    # they cannot outlive the term.
-    __slots__ = ("kind", "sort", "args", "payload", "tid", "_fp", "_vm")
+    # It is derived purely from the node (the ``tid``s of the variables
+    # below it), so sharing it across every context that reaches the same
+    # interned node — including different ``fresh_scope``s — is sound;
+    # keeping it on the node (not in a module-global dict) means it cannot
+    # outlive the term.
+    __slots__ = ("kind", "sort", "args", "payload", "tid", "_vm")
 
     _intern: dict[tuple, "Term"] = {}
     _counter = itertools.count()
@@ -170,7 +168,6 @@ class Term:
         obj.args = args
         obj.payload = payload
         obj.tid = next(cls._counter)
-        obj._fp = None
         obj._vm = None
         cls._misses += 1
         if _INTERN_ENABLED or not args:
@@ -339,9 +336,9 @@ class fresh_scope:
     Interaction with interning: a term minted in one scope and re-minted
     (same structure) in a later scope is the *same object* — that sharing
     is what the VC-template cache and the canonical query cache rely on.
-    It is sound only because every per-node cache slot (the ``_fp``
-    fingerprint) is a pure function of structure; nothing scope-local may
-    ever be stored on a term.  ``tests/smt/test_interning.py`` pins this
+    It is sound only because every per-node cache slot (the ``_vm`` bloom
+    mask) is a pure function of the node; nothing scope-local may ever be
+    stored on a term.  ``tests/smt/test_interning.py`` pins this
     invariant.
     """
 
@@ -875,63 +872,6 @@ def term_size(*roots: Term) -> int:
 def collect(predicate, *roots: Term) -> list[Term]:
     """All distinct subterms satisfying ``predicate``, in post-order."""
     return [t for t in iter_dag(*roots) if predicate(t)]
-
-
-# -- structural fingerprints ------------------------------------------------------------
-
-
-def fingerprint(term: Term) -> int:
-    """A stable 128-bit structural digest of a term DAG.
-
-    Unlike ``tid`` (an interning order, different from process to process),
-    the fingerprint depends only on the term's structure — kind, sort,
-    payload, and child fingerprints — so it is comparable across processes
-    and runs.  The batch dispatcher uses it to group verification
-    conditions that share a leading assertion (the common transition-relation
-    prefix) for incremental solving.
-
-    The digest memoizes into the node's ``_fp`` slot: earlier revisions
-    kept a module-global ``dict[Term, int]`` beside the intern table,
-    which a long-lived ``repro.serve`` process could only grow.  The
-    slot dies with the term and costs one pointer per node.
-    """
-    hit = term._fp
-    if hit is not None:
-        return hit
-    from hashlib import blake2b
-    for t in iter_dag(term):
-        if t._fp is not None:
-            continue
-        h = blake2b(digest_size=16)
-        h.update(t.kind.name.encode())
-        h.update(repr(t.sort).encode())
-        if t.payload is not None:
-            h.update(repr(t.payload).encode())
-        for child in t.args:
-            h.update(child._fp.to_bytes(16, "little"))
-        t._fp = int.from_bytes(h.digest(), "little")
-    return term._fp
-
-
-def prefix_fingerprint(terms: Sequence[Term]) -> int:
-    """Digest of an ordered assertion sequence (a candidate shared prefix)."""
-    from hashlib import blake2b
-    h = blake2b(digest_size=16)
-    for t in terms:
-        h.update(fingerprint(t).to_bytes(16, "little"))
-    return int.from_bytes(h.digest(), "little")
-
-
-def common_prefix_length(seqs: Sequence[Sequence[Term]]) -> int:
-    """Length of the longest common leading run of identical assertions."""
-    if not seqs:
-        return 0
-    limit = min(len(s) for s in seqs)
-    first = seqs[0]
-    n = 0
-    while n < limit and all(s[n] is first[n] for s in seqs[1:]):
-        n += 1
-    return n
 
 
 def intern_stats() -> dict[str, int]:

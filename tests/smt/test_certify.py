@@ -1,5 +1,5 @@
-"""End-to-end proof certification: facade, incremental, portfolio and
-dispatch, plus the lying-solver fault and the cache gating rules.
+"""End-to-end proof certification: facade and dispatch, plus the
+lying-solver fault and the cache gating rules.
 
 The contract under test: with ``certify`` on, every UNSAT verdict that
 survives to the caller carries a checked (or trivially certified) DRAT
@@ -14,8 +14,6 @@ from repro.smt import (
 )
 from repro.smt import faults
 from repro.smt.faults import FaultPlan
-from repro.smt.incremental import solve_group
-from repro.smt.portfolio import default_ladder, run_arm
 from repro.smt.qcache import QueryCache, canonical_key
 from repro.smt.terms import BoolConst
 
@@ -43,13 +41,12 @@ FLIP_ALL = FaultPlan(seed=1, flip_unsat=1.0)
 
 class TestFacade:
     def test_unsat_carries_checked_proof(self):
-        for preprocess in (False, True):
-            solver = Solver(certify=True, preprocess=preprocess)
-            solver.add(*_opaque_unsat("fc"))
-            assert solver.check() is CheckResult.UNSAT
-            cert = solver.stats["certify"]
-            assert cert["checked"] == 1 and cert["rejected"] == 0
-            assert cert["steps"] >= 0 and cert["time"] >= 0
+        solver = Solver(certify=True)
+        solver.add(*_opaque_unsat("fc"))
+        assert solver.check() is CheckResult.UNSAT
+        cert = solver.stats["certify"]
+        assert cert["checked"] == 1 and cert["rejected"] == 0
+        assert cert["steps"] >= 0 and cert["time"] >= 0
 
     def test_term_level_false_is_trivially_certified(self):
         solver = Solver(certify=True)
@@ -75,46 +72,6 @@ class TestFacade:
             assert honest.check() is CheckResult.UNKNOWN  # caught
             cert = honest.stats["certify"]
             assert cert["rejected"] == 1 and "reason" in cert
-
-
-class TestIncremental:
-    def test_assumption_core_proofs_check(self):
-        for preprocess in (False, True):
-            results = solve_group(
-                _opaque_unsat("ic"), [[BoolConst(True)]],
-                timeouts=[None], conflict_budgets=[None],
-                preprocess=preprocess, certify=True)
-            verdict, _, stats = results[0]
-            assert verdict is CheckResult.UNSAT
-            assert stats["certify"]["rejected"] == 0
-
-    def test_flip_unsat_caught_in_group(self):
-        with faults.injected(FaultPlan(seed=3, flip_unsat=1.0)):
-            results = solve_group(
-                _sat_terms("ig"), [[BoolConst(True)]],
-                timeouts=[None], conflict_budgets=[None], certify=True)
-        verdict, _, stats = results[0]
-        assert verdict is CheckResult.UNKNOWN
-        assert stats["certify"]["rejected"] == 1
-
-
-class TestPortfolio:
-    def test_every_arm_strategy_certifies(self):
-        terms = _opaque_unsat("pa")
-        for spec in default_ladder(4):
-            verdict, _, stats = run_arm(
-                spec, terms, timeout=None, conflict_budget=None,
-                certify=True)
-            assert verdict is CheckResult.UNSAT, spec.name
-            assert stats["certify"]["rejected"] == 0, spec.name
-
-    def test_lying_arm_answers_unknown(self):
-        with faults.injected(FaultPlan(seed=5, flip_unsat=1.0)):
-            verdict, _, stats = run_arm(
-                default_ladder(1)[0], _sat_terms("pl"),
-                timeout=None, conflict_budget=None, certify=True)
-        assert verdict is CheckResult.UNKNOWN
-        assert stats["certify"]["rejected"] == 1
 
 
 class TestDispatch:

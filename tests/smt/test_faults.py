@@ -46,11 +46,15 @@ class TestSpecRoundTrip:
         assert "max_triggers" not in FaultPlan().to_spec()
 
     def test_malformed_fields_ignored(self):
+        # arm_hang names a retired fault class: specs that still carry it
+        # must parse, and it must inject nothing.
         plan = FaultPlan.from_spec(
-            "seed=3,worker_crash=bogus,unknown_knob=1,delay=0.5,,=,x")
+            "seed=3,worker_crash=bogus,unknown_knob=1,arm_hang=1.0,"
+            "delay=0.5,,=,x")
         assert plan.seed == 3
         assert plan.worker_crash == 0.0  # malformed value dropped
         assert plan.delay == 0.5
+        assert plan == FaultPlan(seed=3, delay=0.5)
 
     def test_empty_spec(self):
         assert FaultPlan.from_spec("") == FaultPlan()

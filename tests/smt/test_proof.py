@@ -1,8 +1,8 @@
 """The DRAT proof log and the independent backward RUP/RAT checker.
 
 Positive direction: every UNSAT run of the CDCL core under ``certify``
-must leave a log the checker accepts — across inprocessing, preprocessing
-and assumption solving.  Negative direction: a proof whose axioms are
+must leave a log the checker accepts — across inprocessing and
+assumption solving.  Negative direction: a proof whose axioms are
 satisfiable must *always* be rejected (acceptance would certify a lie),
 and structural mutations of a valid log (dropped, duplicated, reordered
 steps; flipped literals) must never crash the checker and never certify

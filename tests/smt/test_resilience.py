@@ -206,6 +206,36 @@ class TestWorkerCrashRecovery:
         assert pool["degraded"] is True
         assert pool["worker_restarts"] >= 1
 
+    def test_pool_broken_during_submit_is_recovered(self, monkeypatch):
+        """A worker that dies while the wave is still being submitted makes
+        ``submit`` itself raise ``BrokenProcessPool``.  That query and every
+        one not yet submitted must requeue like a mid-query death — the
+        broken pool never escapes ``solve_all``."""
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+        from repro.smt import dispatch
+
+        monkeypatch.setenv("PUGPARA_POOL_BACKOFF", "0.01")
+        submits = []
+
+        class BreaksOnSecondSubmit(ProcessPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submits.append(fn)
+                if len(submits) == 2:
+                    raise BrokenProcessPool("worker died during submit")
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(dispatch, "ProcessPoolExecutor",
+                            BreaksOnSecondSubmit)
+        results = solve_all(_easy_queries(), jobs=2, cache=False)
+        assert [r.verdict for r in results] == _EASY_VERDICTS
+        pool = results[0].stats["resilience"]["pool"]
+        assert pool["worker_restarts"] == 1
+        assert pool["degraded"] is False
+        # One submit in the first pool, the failing one, then the two
+        # requeued queries in the rebuilt pool.
+        assert len(submits) == 4
+
 
 # ----------------------------------------------------- jobs hardening
 

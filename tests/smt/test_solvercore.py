@@ -5,18 +5,14 @@ cancellation contract inside inprocessing phases.
 The public solver behaviour (verdicts, assumptions, budgets) is covered
 by ``test_sat.py``; this module reaches into the arena representation to
 pin the inprocessing mechanics and their stats counters, and proves the
-PR 5 cancellation contract — ``stats["cancelled"]``, never a
-``budget_axis`` — extends into vivification and into hung portfolio
-arms.
+cancellation contract — ``stats["cancelled"]``, never a ``budget_axis``
+— extends into vivification.
 """
 
 import time
 
-from repro.smt import FaultPlan, Query, faults, solve_all
-from repro.smt.dispatch import _arm_salt, _prepare
 from repro.smt.sat import SATConfig, SATResult, SATSolver, STAT_COUNTER_KEYS
 from repro.smt.sat.solver import _DEAD, _GLUE_KEEP
-from repro.smt.terms import BVConst, BVVar, Eq, UGt
 
 
 def lit(v: int, positive: bool = True) -> int:
@@ -230,37 +226,3 @@ class TestVivification:
         s._next_vivify = 1
         assert s.solve() is SATResult.UNSAT
         assert s.stats["vivified"] == 0
-
-
-# ----------------------------------------------- cancellation via faults
-
-
-class TestHungArmCancellation:
-    def test_hung_arm_race_never_reports_budget_axis(self, monkeypatch):
-        """An ``arm_hang`` fault wedges one portfolio arm; the winner's
-        outcome must carry no ``budget_axis`` (the loser was *cancelled*,
-        then killed — not budget-exhausted)."""
-        monkeypatch.setenv("PUGPARA_SUPERVISE_INTERVAL", "0.01")
-        monkeypatch.setenv("PUGPARA_CANCEL_GRACE", "0.3")
-        x, y = BVVar("sc.x", 16), BVVar("sc.y", 16)
-        query = Query([Eq(x + y, BVConst(9, 16)), UGt(x, BVConst(2, 16))],
-                      do_simplify=False)
-        key = _prepare(0, query).key
-        plan = None
-        for seed in range(200):
-            cand = FaultPlan(seed=seed, arm_hang=0.5, hang_seconds=20.0)
-            hangs = [cand.chance("arm.hang", key,
-                                 _arm_salt(0, 0, slot)) < 0.5
-                     for slot in range(2)]
-            if hangs == [False, True]:
-                plan = cand
-                break
-        assert plan is not None, "no seed hangs exactly the second arm"
-        with faults.injected(plan):
-            results = solve_all([query], jobs=2, cache=False, portfolio=2)
-        outcome = results[0]
-        assert outcome.verdict.value == "sat"
-        assert "budget_axis" not in outcome.stats
-        port = outcome.stats["portfolio"]
-        assert port["arms"][1]["killed"] is True
-        assert not port["arms"][1].get("budget_axis")
