@@ -15,18 +15,22 @@ Recording protocol (driven by :class:`~repro.smt.bitblast.BitBlaster`):
   siblings.
 * During recording the builder runs with an **isolated gate cache** — an
   outer-cache hit would reference a literal the template cannot encode.
-  The recorded clauses still flow into the real backend, so the first
-  construction is also the first use.
+* The builder itself logs the clauses: while its ``log`` is a list, each
+  gate appends its clauses there as it loads them into the real backend,
+  so the first construction is also the first use.  A nested recording
+  hands its log on to the enclosing one.  The variables allocated during
+  the recording are the contiguous block ``[num_vars before, num_vars
+  after)``.
 * Every literal in the recorded clauses is classified as the global
   constant (variable 0 in every :class:`~repro.smt.cnf.GateBuilder`), an
   input (encoded as input index + polarity flip), or an auxiliary variable
-  allocated during the recording (encoded as aux index + polarity).  Any
-  other literal aborts the recording — construction still succeeds, there
-  is just no template.
+  of the fresh block (encoded as aux index + polarity, by arithmetic on
+  the block).  Any other literal aborts the recording — construction
+  still succeeds, there is just no template.
 
 Encoding is **deferred to the first reuse**.  A capture is stored as a
-pending entry: the raw clause log, the fresh variables, the input and
-output literals, and the builder's two constant literals — never the
+pending entry: the raw clause log, the fresh variable block, the input
+and output literals, and the builder's two constant literals — never the
 builder or its solver, so a pending entry keeps no solver alive.  The
 first :meth:`BlastCache.replay` lookup of the key encodes the entry into a
 template and replays it.  Most captured circuits are never looked up
@@ -70,15 +74,6 @@ MAX_TEMPLATES = 4096
 
 def blast_cache_enabled() -> bool:
     return os.environ.get("PUGPARA_BLAST_CACHE", "1") != "0"
-
-
-def _comp(r: int) -> int:
-    """The reference of the complementary literal (see the encoding notes
-    on :class:`_Template`)."""
-    if r >= 0:
-        return r ^ 1
-    k = -r - 1
-    return -((k ^ 1) + 1)
 
 
 def input_signature(lits: Sequence[int], is_const) -> tuple:
@@ -147,19 +142,21 @@ class _Template:
 
 
 class _Pending:
-    """A captured circuit not yet encoded: the raw clause log and fresh
-    variables of its first construction, its input and output literals,
-    and the capturing builder's constant literals (a snapshot of
-    ``gb.is_const``, which would pin the builder and its solver)."""
+    """A captured circuit not yet encoded: the raw clause log of its first
+    construction, its fresh variables ``first .. first + n_aux - 1``, its
+    input and output literals, and the capturing builder's constant
+    literals (a snapshot of ``gb.is_const``, which would pin the builder
+    and its solver)."""
 
-    __slots__ = ("log", "new_vars", "inputs", "outputs", "true_lit",
+    __slots__ = ("log", "first", "n_aux", "inputs", "outputs", "true_lit",
                  "false_lit")
 
-    def __init__(self, log: list[list[int]], new_vars: list[int],
+    def __init__(self, log: list[list[int]], first: int, n_aux: int,
                  inputs: Sequence[int], outputs: Sequence[int],
                  true_lit: int, false_lit: int) -> None:
         self.log = log
-        self.new_vars = new_vars
+        self.first = first
+        self.n_aux = n_aux
         self.inputs = tuple(inputs)
         self.outputs = tuple(outputs)
         self.true_lit = true_lit
@@ -226,129 +223,101 @@ class BlastCache:
     # ------------------------------------------------------------- recording
 
     def record(self, key: tuple, inputs: Sequence[int], gb, build) -> list[int]:
-        """Run ``build(inputs)`` against ``gb`` with capture + an isolated
-        gate cache, store the capture as a pending entry, and return the
-        built outputs."""
-        real = gb.sat
-        sink = _CaptureSink(real)
+        """Run ``build(inputs)`` against ``gb`` with its clause log on and
+        an isolated gate cache, store the capture as a pending entry, and
+        return the built outputs."""
+        outer_log = gb.log
         saved_cache = gb._cache
-        gb.sat = sink
+        log: list[list[int]] = []
+        gb.log = log
         gb._cache = {}
+        first = gb.sat.num_vars
         try:
             outputs = build(list(inputs))
         finally:
-            gb.sat = real
+            gb.log = outer_log
             gb._cache = saved_cache
-        if len(sink.log) < MIN_CLAUSES:
+        if outer_log is not None:
+            outer_log += log
+        if len(log) < MIN_CLAUSES:
             return outputs
         if len(self._templates) >= MAX_TEMPLATES:
             self._templates.clear()
-        self._templates[key] = _Pending(sink.log, sink.new_vars, inputs,
-                                        outputs, gb.true_lit, gb.false_lit)
+        self._templates[key] = _Pending(log, first, gb.sat.num_vars - first,
+                                        inputs, outputs, gb.true_lit,
+                                        gb.false_lit)
         return outputs
 
     @staticmethod
     def _encode(pending: _Pending) -> _Template | None:
-        nv = pending.new_vars
-        inputs = pending.inputs
+        # Aux literals lie in [lo, hi) and encode as ``lit - shift``; every
+        # other literal is looked up among the constants and the inputs.
+        lo = 2 * pending.first
+        hi = lo + 2 * pending.n_aux
+        shift = lo - 2
+        # The reserved constant variable encodes verbatim.  Constant input
+        # slots are resolved statically: the signature pins each slot's
+        # constness and value, so a slot that is constant here is the same
+        # constant at every replay of this template.  A repeated input
+        # variable refers to its first slot.
+        ref_of = {0: 0, 1: 1}
+        seen: set[int] = set()
         is_const = pending.is_const
-        if nv and nv != list(range(nv[0], nv[0] + len(nv))):
-            return None  # replay assumes a contiguous fresh-variable block
-        aux_index = {v: i for i, v in enumerate(nv)}
-        # Constant input slots are resolved statically: the signature pins
-        # each slot's constness and value, so a slot that is constant here
-        # is the same constant at every replay of this template.
-        input_index: dict[int, int] = {}
-        const_slot: dict[int, bool] = {}
-        for i, l in enumerate(inputs):
-            input_index.setdefault(l >> 1, i)
+        for i, l in enumerate(pending.inputs):
+            if l >> 1 in seen:
+                continue
+            seen.add(l >> 1)
             c = is_const(l)
-            if c is not None:
-                const_slot[i] = c
-
-        def encode_lit(lit: int) -> int | None:
-            v = lit >> 1
-            i = aux_index.get(v)
-            if i is not None:
-                return ((i + 1) << 1) | (lit & 1)
-            i = input_index.get(v)
-            if i is not None:
-                flip = (lit & 1) ^ (inputs[i] & 1)
-                cv = const_slot.get(i)
-                if cv is not None:
-                    return 0 if cv ^ bool(flip) else 1
-                return -((i << 1) + flip + 1)
-            if v == 0:  # the reserved constant variable
-                return lit
-            return None
+            if c is None:
+                ref_of[l] = -((i << 1) + 1)
+                ref_of[l ^ 1] = -((i << 1) + 2)
+            else:
+                ref_of[l] = 0 if c else 1
+                ref_of[l ^ 1] = 1 if c else 0
+        get = ref_of.get
 
         clauses: list[list[int]] = []
         clean = True
         for clause in pending.log:
             refs: list[int] | None = []
-            seen: set[int] = set()
             for lit in clause:
-                r = encode_lit(lit)
+                if lo <= lit < hi:
+                    refs.append(lit - shift)
+                    continue
+                r = get(lit)
                 if r is None:
                     return None
                 if r == 0:  # the true constant satisfies the clause
                     refs = None
                     break
-                if r == 1:  # the false constant drops out
-                    continue
-                seen.add(r)
-                refs.append(r)
+                if r != 1:  # the false constant drops out
+                    refs.append(r)
             if refs is None:
                 continue
             clauses.append(refs)
             # A template is "clean" when every decoded clause is already in
-            # stored form: size >= 2, no duplicate or complementary refs.
-            # Distinct refs decode to distinct variables at every replay
-            # (the signature fixes the slot structure; auxiliaries are a
-            # fresh block), and replay inputs are root-unassigned by
-            # construction (the blaster substitutes root-forced literals
-            # with constants first), so ref-level cleanliness transfers to
-            # the decoded clauses verbatim.
-            if clean and (len(refs) < 2 or len(seen) != len(refs)
-                          or any(_comp(r) in seen for r in refs)):
+            # stored form: size >= 2, no duplicate or complementary refs,
+            # i.e. no two refs share a variable (``r >> 1`` maps both
+            # polarities of an aux or input ref to one key).  Distinct refs
+            # decode to distinct variables at every replay (the signature
+            # fixes the slot structure; auxiliaries are a fresh block), and
+            # replay inputs are root-unassigned by construction (the
+            # blaster substitutes root-forced literals with constants
+            # first), so ref-level cleanliness transfers to the decoded
+            # clauses verbatim.
+            if clean and (len(refs) < 2
+                          or len({r >> 1 for r in refs}) != len(refs)):
                 clean = False
         out_refs: list[int] = []
         for lit in pending.outputs:
-            r = encode_lit(lit)
+            if lo <= lit < hi:
+                out_refs.append(lit - shift)
+                continue
+            r = get(lit)
             if r is None:
                 return None
             out_refs.append(r)
-        return _Template(len(nv), clauses, out_refs, clean)
-
-
-class _CaptureSink:
-    """Backend proxy that mirrors allocations and clauses to the real
-    backend while logging them for template encoding."""
-
-    __slots__ = ("real", "log", "new_vars")
-
-    def __init__(self, real) -> None:
-        self.real = real
-        self.log: list[list[int]] = []
-        self.new_vars: list[int] = []
-
-    @property
-    def num_vars(self) -> int:
-        return self.real.num_vars
-
-    @property
-    def ok(self) -> bool:
-        return self.real.ok
-
-    def new_var(self) -> int:
-        v = self.real.new_var()
-        self.new_vars.append(v)
-        return v
-
-    def add_clause(self, lits) -> bool:
-        clause = list(lits)
-        self.log.append(clause)
-        return self.real.add_clause(clause)
+        return _Template(pending.n_aux, clauses, out_refs, clean)
 
 
 _GLOBAL: BlastCache | None = None

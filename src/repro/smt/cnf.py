@@ -10,8 +10,21 @@ The constant literals ``true_lit``/``false_lit`` are two polarities of one
 reserved variable forced at level 0, which lets the bit-blaster treat
 constant bits uniformly as literals.
 
-The backend only needs ``new_var``/``add_clause``: a :class:`SATSolver` for
-direct solving, or a :class:`ClauseDB` when the clauses are only recorded.
+Each gate hands its defining clauses to the backend in one ``add_gate``
+call.  A gate's output variable is fresh and its inputs are distinct
+variables, so its clauses are duplicate- and tautology-free by
+construction; the backend validates the inputs once (not every clause
+literal) and, when none of them is assigned at level 0, stores the clauses
+as they are.  Either way the stored CNF is what loading the clauses one
+``add_clause`` at a time would build.
+
+While :attr:`GateBuilder.log` is a list, every clause the builder emits is
+also appended to it — the blast template cache captures circuits this way
+(:mod:`repro.smt.blastcache`).
+
+The backend needs ``new_var``/``add_clause``/``add_gate``: a
+:class:`SATSolver` for direct solving, or a :class:`ClauseDB` when the
+clauses are only recorded.
 """
 
 from __future__ import annotations
@@ -26,11 +39,12 @@ __all__ = ["ClauseDB", "GateBuilder"]
 
 class ClauseDB:
     """A plain clause sink implementing the :class:`GateBuilder` backend
-    protocol (``new_var``/``add_clause``).
+    protocol (``new_var``/``add_clause``/``add_gate``).
 
     Unlike :class:`SATSolver.add_clause` it performs no level-0
     simplification, so the recorded CNF is exactly what the gates emitted
-    and can be replayed into any number of solver instances.
+    and can be replayed into any number of solver instances.  Every loader
+    treats an empty clause alike: it is not stored and ``ok`` turns False.
     """
 
     def __init__(self) -> None:
@@ -55,6 +69,18 @@ class ClauseDB:
         self.clauses.append(clause)
         return True
 
+    def add_gate(self, inputs: Sequence[int],
+                 clauses: list[list[int]]) -> bool:
+        """Record one gate's defining clauses (see
+        :meth:`SATSolver.add_gate`); only the inputs are range-checked."""
+        nv2 = 2 * self.num_vars
+        for lit in inputs:
+            if not 0 <= lit < nv2:
+                raise SolverError(
+                    f"literal {lit} references an undeclared variable")
+        self.clauses += clauses
+        return self.ok
+
     def new_vars(self, n: int) -> int:
         """Allocate ``n`` fresh variables at once; returns the first index
         (the bulk counterpart of :meth:`new_var`, used by template replay)."""
@@ -67,12 +93,13 @@ class ClauseDB:
         """Bulk :meth:`add_clause` without per-literal validation — the
         replay path feeds machine-generated clauses over this DB's own
         variable counter."""
-        self.clauses.extend(clause_iter)
+        clauses = self.clauses
+        for clause in clause_iter:
+            if clause:
+                clauses.append(clause)
+            else:
+                self.ok = False
         return self.ok
-
-    # The DB records clauses verbatim either way; pre-sanitized bulk input
-    # needs no separate treatment.
-    add_clauses_raw = add_clauses
 
     def add_clauses_flat(self, sizes: list[int], flat: list[int]) -> bool:
         """Bulk-load from a flat literal buffer (see the
@@ -80,6 +107,9 @@ class ClauseDB:
         clauses = self.clauses
         pos = 0
         for n in sizes:
+            if n == 0:
+                self.ok = False
+                continue
             end = pos + n
             clauses.append(flat[pos:end])
             pos = end
@@ -97,6 +127,8 @@ class GateBuilder:
         self.sat.add_clause([self.true_lit])
         self._cache: dict[tuple, int] = {}
         self.gates = 0
+        #: When a list, every clause emitted from here on is appended too.
+        self.log: list[list[int]] | None = None
 
     # ----------------------------------------------------------------- basics
 
@@ -104,7 +136,17 @@ class GateBuilder:
         return self.sat.new_var() << 1
 
     def add_clause(self, lits: Iterable[int]) -> None:
-        self.sat.add_clause(lits)
+        clause = list(lits)
+        if self.log is not None:
+            self.log.append(clause)
+        self.sat.add_clause(clause)
+
+    def _gate(self, inputs: Sequence[int], clauses: list[list[int]]) -> None:
+        """Emit one gate's clauses (duplicate- and tautology-free: a fresh
+        output over distinct input variables) in one backend call."""
+        if self.log is not None:
+            self.log += clauses
+        self.sat.add_gate(inputs, clauses)
 
     def lit_const(self, value: bool) -> int:
         return self.true_lit if value else self.false_lit
@@ -121,6 +163,8 @@ class GateBuilder:
     # ------------------------------------------------------------------ gates
 
     def AND(self, lits: Sequence[int]) -> int:
+        if len(lits) == 2:
+            return self.AND2(lits[0], lits[1])
         out: list[int] = []
         for lit in lits:
             c = self.is_const(lit)
@@ -142,9 +186,36 @@ class GateBuilder:
         if hit is not None:
             return hit
         g = self.new_lit()
-        for lit in inputs:
-            self.add_clause([g ^ 1, lit])
-        self.add_clause([g, *(lit ^ 1 for lit in inputs)])
+        ng = g ^ 1
+        clauses = [[ng, lit] for lit in inputs]
+        clauses.append([g, *(lit ^ 1 for lit in inputs)])
+        self._gate(inputs, clauses)
+        self._cache[key] = g
+        self.gates += 1
+        return g
+
+    def AND2(self, a: int, b: int) -> int:
+        """``AND([a, b])``: the same folds, cache key and clauses, without
+        the general case's list and set building."""
+        t = self.true_lit
+        f = t ^ 1
+        if a == f or b == f:
+            return f
+        if a == t:
+            return b
+        if b == t or a == b:
+            return a
+        if a == b ^ 1:
+            return f
+        if a > b:
+            a, b = b, a
+        key = ("and", (a, b))
+        hit = self._cache.get(key)
+        if hit is not None:
+            return hit
+        g = self.new_lit()
+        ng = g ^ 1
+        self._gate((a, b), [[ng, a], [ng, b], [g, a ^ 1, b ^ 1]])
         self._cache[key] = g
         self.gates += 1
         return g
@@ -172,10 +243,9 @@ class GateBuilder:
         hit = self._cache.get(key)
         if hit is None:
             g = self.new_lit()
-            self.add_clause([g ^ 1, a, b])
-            self.add_clause([g ^ 1, a ^ 1, b ^ 1])
-            self.add_clause([g, a, b ^ 1])
-            self.add_clause([g, a ^ 1, b])
+            ng = g ^ 1
+            self._gate((a, b), [[ng, a, b], [ng, a ^ 1, b ^ 1],
+                                [g, a, b ^ 1], [g, a ^ 1, b]])
             self._cache[key] = g
             self.gates += 1
             hit = g
@@ -212,13 +282,19 @@ class GateBuilder:
         if hit is not None:
             return hit
         g = self.new_lit()
-        self.add_clause([g ^ 1, c ^ 1, t])
-        self.add_clause([g ^ 1, c, e])
-        self.add_clause([g, c ^ 1, t ^ 1])
-        self.add_clause([g, c, e ^ 1])
-        # Redundant but propagation-strengthening clauses.
-        self.add_clause([g ^ 1, t, e])
-        self.add_clause([g, t ^ 1, e ^ 1])
+        ng = g ^ 1
+        clauses = [[ng, c ^ 1, t], [ng, c, e], [g, c ^ 1, t ^ 1],
+                   [g, c, e ^ 1],
+                   # Redundant but propagation-strengthening clauses.
+                   [ng, t, e], [g, t ^ 1, e ^ 1]]
+        cv = c >> 1
+        if cv != t >> 1 and cv != e >> 1:
+            self._gate((c, t, e), clauses)
+        else:
+            # The condition reappears as a branch: some clauses repeat or
+            # complement a literal, so each takes the sanitizing loader.
+            for clause in clauses:
+                self.add_clause(clause)
         self._cache[key] = g
         self.gates += 1
         return g
@@ -229,7 +305,7 @@ class GateBuilder:
         """Returns ``(sum, carry_out)`` of a 1-bit full adder."""
         axb = self.XOR(a, b)
         s = self.XOR(axb, cin)
-        carry = self.OR([self.AND([a, b]), self.AND([cin, axb])])
+        carry = self.AND2(self.AND2(a, b) ^ 1, self.AND2(cin, axb) ^ 1) ^ 1
         return s, carry
 
     def assert_lit(self, lit: int) -> None:

@@ -1,11 +1,10 @@
 """DRAT-style proof logging and an independent backward RUP/RAT checker.
 
 An UNSAT verdict is only as trustworthy as the solver that produced it —
-and the CDCL core, its inprocessing (vivification, subsumption, clause-DB
-reduction) and the CNF preprocessor (unit propagation, pure literals,
-self-subsuming strengthening, bounded variable elimination) are all places
-a bug could silently manufacture a false proof.  This module closes that
-gap: the solving layers emit a compact in-memory clausal proof, and
+and the CDCL core and its inprocessing (vivification, subsumption,
+clause-DB reduction) are places a bug could silently manufacture a false
+proof.  This module closes that gap: the solving layers emit a compact
+in-memory clausal proof, and
 :func:`check_proof` re-validates it with machinery that shares nothing
 with the solver beyond the literal encoding (variable ``v`` has positive
 literal ``2*v``, negative ``2*v + 1``; ``lit ^ 1`` negates).
@@ -15,9 +14,8 @@ literal ``2*v``, negative ``2*v + 1``; ``lit ^ 1`` negates).
 * ``axioms`` — every clause exactly as the SAT layer received it (the
   blasted CNF; inputs, not proof obligations);
 * ``steps`` — an ordered list of ``(is_delete, lits)`` pairs: clause
-  *additions* (learned clauses, vivification replacements, preprocessor
-  strengthenings, BVE resolvents, pure-literal units) and clause
-  *deletions* (DB reduction, subsumption, satisfied/eliminated clauses).
+  *additions* (learned clauses, vivification replacements) and clause
+  *deletions* (DB reduction, subsumption, satisfied clauses).
 
 This is DRAT semantics: every added clause must preserve satisfiability —
 it must be a *reverse unit propagation* (RUP) consequence of the clauses

@@ -48,13 +48,13 @@ subset of assumptions the final conflict depends on.  Time and conflict
 budgets return ``UNKNOWN`` and record which axis was binding in
 ``stats["budget_axis"]``; the checkers report that as the paper's ``T.O``.
 
-Two extensions serve the portfolio runtime (:mod:`repro.smt.portfolio`):
+Two further knobs are part of the solver's interface:
 
-* **Diversification** — a :class:`SATConfig` parameterizes the CDCL
+* **Configuration** — a :class:`SATConfig` parameterizes the CDCL
   heuristics (VSIDS decay, restart schedule, phase-saving polarity, a
   deterministic decision-randomization seed).  Any config is sound and
-  complete, so diversified instances may disagree only on *which* model
-  they find, never on the verdict.
+  complete, so differently configured instances may disagree only on
+  *which* model they find, never on the verdict.
 * **Cooperative cancellation** — :meth:`SATSolver.solve` accepts a
   ``cancel`` callable, polled at the same cadence as the deadline (every
   128 conflicts, every 256 decisions, at every restart, and between
@@ -81,8 +81,8 @@ __all__ = ["SATSolver", "SATResult", "SATConfig", "RESTART_SCHEDULES",
            "STAT_COUNTER_KEYS"]
 
 #: Monotone per-solve counters in ``SATSolver.stats`` — the keys the facade
-#: and the incremental group loop copy (as deltas) into query stats, and that
-#: :mod:`repro.check.result` aggregates into ``stats["solver"]``.
+#: copies into query stats, and that :mod:`repro.check.result` aggregates
+#: into ``stats["solver"]``.
 STAT_COUNTER_KEYS = (
     "conflicts", "decisions", "propagations", "restarts", "learned",
     "deleted", "glue2", "glue_low", "glue_high",
@@ -97,11 +97,12 @@ _MASK64 = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class SATConfig:
-    """CDCL heuristic configuration — the portfolio's diversification axes.
+    """CDCL heuristic configuration.
 
     ``SATSolver()`` and ``SATSolver(SATConfig())`` are indistinguishable.
-    Every configuration is sound and complete: arms may differ in which
-    model they report and how fast they get there, never in the verdict.
+    Every configuration is sound and complete: configurations may differ in
+    which model they report and how fast they get there, never in the
+    verdict.
 
     Parameters
     ----------
@@ -265,23 +266,16 @@ class SATSolver:
         #: literals the final conflict depends on (empty when the instance
         #: is unsatisfiable regardless of assumptions).
         self.conflict_assumptions: list[int] = []
-        #: DRAT-style proof log (None when certification is off).  When
-        #: ``_proof_adopt`` is set the axioms were logged upstream (e.g. by
-        #: the preprocessor's owner) and the clause loaders must not log
-        #: them again; derived additions and deletions always log.
+        #: DRAT-style proof log (None when certification is off).
         self.proof: ProofLog | None = \
             ProofLog() if self.config.certify else None
-        self._proof_adopt = False
         self.stats: dict[str, object] = {k: 0 for k in STAT_COUNTER_KEYS}
 
-    def attach_proof(self, log: ProofLog, adopt: bool = False) -> None:
-        """Log this solver's proof into ``log``.  With ``adopt`` the caller
-        has already recorded the input clauses as axioms (the preprocess
-        path), so the loaders skip axiom logging; derived clause additions
-        and deletions are recorded either way.  Call before adding
+    def attach_proof(self, log: ProofLog) -> None:
+        """Log this solver's proof (input clauses as axioms, derived clause
+        additions and deletions as steps) into ``log``.  Call before adding
         clauses."""
         self.proof = log
-        self._proof_adopt = adopt
 
     # ------------------------------------------------------------------ setup
 
@@ -300,7 +294,8 @@ class SATSolver:
         self.phase.append(self.config.default_phase)
         self.watches.append([])
         self.watches.append([])
-        heappush(self.order_heap, (0.0, v))
+        # An append keeps the heap invariant (see new_vars).
+        self.order_heap.append((0.0, v))
         return v
 
     def new_vars(self, n: int) -> int:
@@ -331,7 +326,7 @@ class SATSolver:
             return False
         if self.trail_lim:
             raise SolverError("clauses may only be added at decision level 0")
-        if self.proof is not None and not self._proof_adopt:
+        if self.proof is not None:
             lits = list(lits)
             self.proof.axioms.append(tuple(lits))
         assigns = self.assigns
@@ -352,8 +347,57 @@ class SATSolver:
             return self._flush_units() and ok
         return ok
 
+    def add_gate(self, inputs: Iterable[int],
+                 clauses: list[list[int]]) -> bool:
+        """Load the defining clauses of one Tseitin gate in one call.
+
+        The caller guarantees each clause is duplicate- and tautology-free
+        and of size >= 2, over the gate's ``inputs`` (distinct variables)
+        and fresh output variables.  Only the inputs are range-checked.
+        When none of them is assigned at level 0 (a fresh output never
+        is), no clause has a literal to strip or can become a unit, so each
+        is appended to the arena with its two watches exactly as
+        :meth:`add_clause` would store it.  Otherwise every clause goes
+        through :meth:`add_clause`.  Either way the arena, ``n_orig`` and
+        the level-0 trail are those of per-clause loading.
+        """
+        if not self.ok:
+            return False
+        if self.trail_lim:
+            raise SolverError("clauses may only be added at decision level 0")
+        assigns = self.assigns
+        nv2 = 2 * self.num_vars
+        for lit in inputs:
+            if not 0 <= lit < nv2:
+                raise SolverError(
+                    f"literal {lit} references an undeclared variable")
+            if assigns[lit >> 1] < 2:
+                for clause in clauses:
+                    self.add_clause(clause)
+                return self.ok
+        if self.proof is not None:
+            self.proof.axioms += [tuple(clause) for clause in clauses]
+        arena = self.arena
+        watches = self.watches
+        for clause in clauses:
+            off = len(arena)
+            arena.append(len(clause))
+            arena.append(0)
+            arena += clause
+            a = clause[0]
+            b = clause[1]
+            w = watches[a ^ 1]
+            w.append(off)
+            w.append(b)
+            w = watches[b ^ 1]
+            w.append(off)
+            w.append(a)
+        self.n_orig += len(clauses)
+        return True
+
     def add_clauses(self, clause_iter: Iterable[Iterable[int]]) -> bool:
-        """Bulk clause loading (the blast/preprocess/replay path).
+        """Bulk clause loading (the template replay path for circuits whose
+        clauses are not known to be in stored form).
 
         Semantically a loop of :meth:`add_clause` minus the per-literal
         range validation — callers feed machine-generated clauses whose
@@ -368,8 +412,7 @@ class SATSolver:
         arena = self.arena
         watches = self.watches
         clean = self._add_clause_clean
-        plog = self.proof if self.proof is not None and \
-            not self._proof_adopt else None
+        plog = self.proof
         for lits in clause_iter:
             if not self.ok:
                 return False
@@ -422,49 +465,24 @@ class SATSolver:
             self._flush_units()
         return self.ok
 
-    def add_clauses_raw(self, clause_iter: Iterable[list[int]]) -> bool:
-        """Bulk-load clauses that are already in stored form.
+    def add_clauses_flat(self, sizes: list[int], flat: list[int]) -> bool:
+        """Bulk-load pre-sanitized clauses from a flat literal buffer.
 
+        ``flat`` holds the concatenated literals of ``len(sizes)`` clauses.
         The caller guarantees every clause has size >= 2, no duplicate or
         complementary literals, no literal assigned at level 0, and only
         declared variables — the blast-template replay path proves this
         per template at encode time.  Loading is then a pure arena append
-        plus two watcher entries per clause."""
-        arena = self.arena
-        watches = self.watches
-        plog = self.proof if self.proof is not None and \
-            not self._proof_adopt else None
-        n_added = 0
-        for out in clause_iter:
-            if plog is not None:
-                plog.axioms.append(tuple(out))
-            off = len(arena)
-            arena.append(len(out))
-            arena.append(0)
-            arena += out
-            a = out[0]
-            b = out[1]
-            w = watches[a ^ 1]
-            w.append(off)
-            w.append(b)
-            w = watches[b ^ 1]
-            w.append(off)
-            w.append(a)
-            n_added += 1
-        self.n_orig += n_added
-        return self.ok
-
-    def add_clauses_flat(self, sizes: list[int], flat: list[int]) -> bool:
-        """Bulk-load pre-sanitized clauses from a flat literal buffer.
-
-        ``flat`` holds the concatenated literals of ``len(sizes)`` clauses
-        with the same guarantees as :meth:`add_clauses_raw`.  The flat
-        shape lets the blast-template replay decode a whole template in
-        one list comprehension and load it here with one slice per clause.
+        plus two watcher entries per clause.  The flat shape lets the
+        replay decode a whole template in one list comprehension and load
+        it here with one slice per clause.  Like every loader it stores
+        nothing once the instance is refuted (``ok`` is False).
         """
+        if not self.ok:
+            return False
         arena = self.arena
         watches = self.watches
-        if self.proof is not None and not self._proof_adopt:
+        if self.proof is not None:
             p = 0
             for n in sizes:
                 self.proof.axioms.append(tuple(flat[p:p + n]))
@@ -921,7 +939,7 @@ class SATSolver:
         to the empty clause (the instance is UNSAT at level 0).
 
         The cancel token and deadline are polled between clauses — the
-        PR 5 cancellation contract extends into inprocessing phases, so a
+        cancellation contract extends into inprocessing phases, so a
         cancelled solve inside vivification still reports ``cancelled``
         and never a budget axis.
         """

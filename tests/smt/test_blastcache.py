@@ -28,8 +28,9 @@ class EagerCache(BlastCache):
         outputs = super().record(key, inputs, gb, build)
         entry = self._templates.pop(key, None)
         if entry is not None:
-            tpl = self._encode(_Pending(entry.log, entry.new_vars, inputs,
-                                        outputs, gb.true_lit, gb.false_lit))
+            tpl = self._encode(_Pending(entry.log, entry.first, entry.n_aux,
+                                        inputs, outputs, gb.true_lit,
+                                        gb.false_lit))
             if tpl is not None:
                 self._templates[key] = tpl
         return outputs

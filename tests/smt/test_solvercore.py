@@ -74,7 +74,7 @@ class TestArena:
         assert len(s.clauses) == 3  # learned clauses are not originals
         assert sorted(len(cl) for cl in s.clauses) == [2, 2, 3]
 
-    def test_add_clauses_raw_matches_sanitized_path(self):
+    def test_add_clauses_flat_matches_sanitized_path(self):
         clauses = [[0, 2], [1, 4], [3, 5, 6], [2, 5], [0, 4, 6]]
         s1 = SATSolver()
         s1.new_vars(4)
@@ -82,8 +82,10 @@ class TestArena:
             s1.add_clause(cl)
         s2 = SATSolver()
         s2.new_vars(4)
-        s2.add_clauses_raw([list(cl) for cl in clauses])
+        s2.add_clauses_flat([len(cl) for cl in clauses],
+                            [l for cl in clauses for l in cl])
         assert len(s2.clauses) == len(clauses)
+        assert s2.arena == s1.arena
         assert s1.solve() is s2.solve() is SATResult.SAT
         # agree on every assumption-forced verdict too
         for v in range(4):
